@@ -1,8 +1,8 @@
 /**
  * @file
  * Open-loop tail-latency ladder for the index service: arrival rate
- * x {coalescing on/off} x {shard-affine routing on/off}, Poisson
- * arrivals (plus bursty and uniform reference rows), per-request
+ * x {coalescing on/off}, Poisson arrivals (plus bursty and uniform
+ * reference rows), per-request
  * percentiles measured from *scheduled* arrival time so coordinated
  * omission cannot hide stalls (see src/service/open_loop.hh).
  *
@@ -31,7 +31,7 @@
  * NOTE: on a single-core host the generator, reaper, and walker
  * time-share one CPU, so absolute percentiles are pessimistic; the
  * rate ladder's *shape* (flat, then a knee at saturation) and the
- * coalescing/routing deltas remain meaningful, and the CI gate
+ * coalescing deltas remain meaningful, and the CI gate
  * normalizes by the host factor.
  */
 
@@ -153,25 +153,21 @@ main(int argc, char **argv)
 
     char name[160];
     for (int coalesce : {1, 0}) {
-        for (int route : {0, 1}) {
-            sw::ServiceConfig cfg;
-            cfg.shards = 4;
-            cfg.walkers = 1; // the portable row (see file note)
-            cfg.affineRouting = route != 0;
-            cfg.coalesceTails = coalesce != 0;
-            sw::IndexService service(build, spec, cfg);
-            for (double rate : rates) {
-                sw::OpenLoopOptions opt;
-                opt.ratePerSec = rate;
-                opt.requests = requests;
-                opt.keysPerRequest = kKeysPerRequest;
-                opt.arrivals = sw::ArrivalProcess::Poisson;
-                std::snprintf(
-                    name, sizeof(name),
-                    "OL_Latency/coalesce:%d/route:%d/K:1/rate:%d",
-                    coalesce, route, int(rate));
-                runRow(service, name, opt);
-            }
+        sw::ServiceConfig cfg;
+        cfg.shards = 4;
+        cfg.walkers = 1; // the portable row (see file note)
+        cfg.coalesceTails = coalesce != 0;
+        sw::IndexService service(build, spec, cfg);
+        for (double rate : rates) {
+            sw::OpenLoopOptions opt;
+            opt.ratePerSec = rate;
+            opt.requests = requests;
+            opt.keysPerRequest = kKeysPerRequest;
+            opt.arrivals = sw::ArrivalProcess::Poisson;
+            std::snprintf(name, sizeof(name),
+                          "OL_Latency/coalesce:%d/K:1/rate:%d",
+                          coalesce, int(rate));
+            runRow(service, name, opt);
         }
     }
 

@@ -8,11 +8,11 @@
  *
  * Walks through the service API:
  *   1. load a build relation into a column;
- *   2. start an IndexService owning 4 hash-range shards placed by
- *      the host topology (NodeBound first-touch builds), with 4
- *      persistent walker threads parked between requests and
- *      shard-affine dispatch routing (each walker homes on the
- *      shards of its node, stealing across shards when idle);
+ *   2. start an IndexService owning 4 hash-range shards (built in
+ *      parallel, one first-touch build thread per shard), with 4
+ *      persistent walker threads parked between requests that
+ *      claim any shared dispatch window, whatever shards its keys
+ *      land in;
  *   3. fire closed-loop clients that submit small probe / count /
  *      join requests and block on their tickets;
  *   4. verify a sample request byte-for-byte against the
@@ -66,6 +66,7 @@
 
 #include "common/arena.hh"
 #include "common/rng.hh"
+#include "common/topology.hh"
 #include "net/open_loop_net.hh"
 #include "net/server.hh"
 #include "obs/metrics.hh"
@@ -112,8 +113,8 @@ main(int argc, char **argv)
     std::vector<u64> probePool = wl::uniformKeys(1u << 20, tuples, rng);
 
     // 2. Service: 4 hash-range shards (each with its own bucket+tag
-    //    arena, first-touched on its target node), 4 walkers parked
-    //    on a condvar between requests, shard-affine routing on.
+    //    arena, first-touched by its own build thread), 4 walkers
+    //    parked on a condvar between requests.
     const Topology &topo = Topology::host();
     std::printf("topology: %u node(s), %u usable CPU(s)\n",
                 topo.nodes(), topo.cpus());
@@ -124,8 +125,7 @@ main(int argc, char **argv)
     cfg.shards = 4;
     cfg.walkers = 4;
     cfg.pipeline.adaptiveTags = true;
-    cfg.numa = sw::NumaPolicy::NodeBound;
-    cfg.affineRouting = true;
+    cfg.numa = sw::NumaPolicy::FirstTouch;
     // Observability: hardware-counter sampling every 32nd window
     // (degrades to zeros where perf is denied) and a span-trace
     // ring shared with the TCP server's reaper.
@@ -145,13 +145,6 @@ main(int argc, char **argv)
                     .numBuckets(),
                 service.walkers(),
                 double(service.index().footprintBytes()) / 1048576.0);
-    for (unsigned w = 0; w < service.walkers(); ++w) {
-        std::printf("  walker %u home shards:", w);
-        for (unsigned s : service.homeShards(w))
-            std::printf(" %u(node %u)", s,
-                        service.index().shardNode(s));
-        std::printf("\n");
-    }
 
     // Everything ad-hoc above is also exported uniformly: the
     // registry pulls service state through a collector at scrape
@@ -279,12 +272,9 @@ main(int argc, char **argv)
                 secs, double(totalReqs) / secs,
                 double(totalReqs * requestKeys) / secs / 1e6);
     std::printf("dispatch windows: %llu (%llu coalesced across "
-                "requests, %llu shard-affine, %llu stolen), tag "
-                "reject rate %.1f%%\n",
+                "requests), tag reject rate %.1f%%\n",
                 (unsigned long long)stats.windows,
                 (unsigned long long)stats.coalescedWindows,
-                (unsigned long long)stats.affineWindows,
-                (unsigned long long)stats.stolenWindows,
                 100.0 * service.index().tagStats().rejectRate());
 
     // 4c. Latency report: every request was timestamped at submit,

@@ -1,5 +1,6 @@
 #include "common/topology.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <fstream>

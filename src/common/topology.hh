@@ -14,16 +14,8 @@
  * intersects every node's CPU list with the calling process's
  * affinity mask (sched_getaffinity — a cgroup-restricted host must
  * never be pinned to CPUs it doesn't own), and exposes the result
- * as placement queries:
- *
- *  - nodeForSlot(slot, slots): block-distribute `slots` entities
- *    (shards, walkers) over the nodes, so entity ranges map to
- *    contiguous node ranges — shard s and the walkers homed on it
- *    land on the same node;
- *  - cpuForSlot(slot): fold a logical slot onto the usable CPU
- *    list (round-robin when slots outnumber CPUs);
- *  - cpuOnNode(node, idx): the idx-th usable CPU of a node,
- *    folding within the node.
+ * as a placement query: cpuForSlot(slot) folds a logical slot onto
+ * the usable CPU list (round-robin when slots outnumber CPUs).
  *
  * Tests inject synthetic trees: fromSysfs() takes any directory
  * laid out like the kernel's `node/` dir (1-node, multi-node,
@@ -38,7 +30,6 @@
 #ifndef WIDX_COMMON_TOPOLOGY_HH
 #define WIDX_COMMON_TOPOLOGY_HH
 
-#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -94,21 +85,6 @@ class Topology
     /** Node owning a CPU id, or -1 when the CPU is not usable. */
     int nodeOfCpu(unsigned cpu) const;
 
-    /**
-     * Block-distribute `slots` logical entities over the nodes:
-     * slot ranges map to contiguous node ranges, so shards and the
-     * walkers homed on them agree on a node. With fewer slots than
-     * nodes the slots spread out (slot i -> node i * N / slots).
-     */
-    unsigned
-    nodeForSlot(unsigned slot, unsigned slots) const
-    {
-        const unsigned n = nodes();
-        if (slots == 0 || n <= 1)
-            return 0;
-        return std::min(slot * n / slots, n - 1);
-    }
-
     /** Fold a logical slot onto the usable-CPU list (round-robin
      *  past the end). folds(slot) tells whether folding happened. */
     unsigned
@@ -118,14 +94,6 @@ class Topology
     }
 
     bool folds(unsigned slot) const { return slot >= cpus(); }
-
-    /** The idx-th usable CPU of a node, folding within the node. */
-    unsigned
-    cpuOnNode(unsigned node, unsigned idx) const
-    {
-        const auto &cpus = nodeCpus_[node];
-        return cpus[idx % cpus.size()];
-    }
 
   private:
     explicit Topology(std::vector<std::vector<unsigned>> nodeCpus);

@@ -132,8 +132,7 @@ probeAll(sw::IndexService &service, const Column &probe_keys,
 
     // Async slicing: the probe side goes out as many independent
     // requests through one CompletionQueue instead of a single
-    // blocking call, so every walker (and every shard's home
-    // walker, under affine routing) has work from the first slice
+    // blocking call, so every walker has work from the first slice
     // on while later slices are still being admitted. Slices are
     // position-contiguous, so reassembling them in slice order with
     // a base offset reproduces the single-request record sequence

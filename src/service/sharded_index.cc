@@ -7,6 +7,7 @@
 #include "common/bitops.hh"
 #include "common/failpoint.hh"
 #include "common/logging.hh"
+#include "common/topology.hh"
 #include "swwalkers/probers.hh"
 
 namespace widx::sw {
@@ -23,7 +24,6 @@ ShardedIndex::ShardedIndex(const db::HashIndex &index)
 ShardedIndex::ShardedIndex(const db::Column &keys,
                            const db::IndexSpec &spec, unsigned shards,
                            NumaPolicy numa, bool pinBuilders,
-                           const Topology *topo,
                            const MutationConfig &mut)
 {
     const u64 total = nextPowerOfTwo(std::max<u64>(spec.buckets, 1));
@@ -48,15 +48,6 @@ ShardedIndex::ShardedIndex(const db::Column &keys,
     owned_.resize(std::size_t(s));
     shards_.resize(std::size_t(s));
 
-    // Target nodes: shards block-distribute over the nodes, so a
-    // node owns a contiguous hash range and the walkers homed there
-    // (same distribution) serve it. Computed for every policy —
-    // dispatch routing wants the mapping even when arenas float.
-    const Topology &t = topo ? *topo : Topology::host();
-    shardNode_.resize(std::size_t(s));
-    for (unsigned sh = 0; sh < s; ++sh)
-        shardNode_[sh] = t.nodeForSlot(sh, unsigned(s));
-
     // Shard sh owns the keys whose global bucket index falls in its
     // hash range; duplicates of a key share a hash, so they share a
     // shard and keep the flat index's per-key chain order.
@@ -73,31 +64,21 @@ ShardedIndex::ShardedIndex(const db::Column &keys,
         shards_[sh] = owned_[sh].get();
     };
 
-    if (numa != NumaPolicy::None && s > 1) {
+    if (numa == NumaPolicy::FirstTouch && s > 1) {
         // One build thread per shard: the arena pages are
-        // first-touched where the builder runs. FirstTouch lets the
-        // OS spread them (optionally pinning builders round-robin
-        // over the usable CPUs); NodeBound pins each builder to a
-        // CPU on the shard's target node, cycling within the node
-        // when shards outnumber its CPUs.
-        std::vector<unsigned> nextOnNode(t.nodes(), 0);
+        // first-touched where the builder runs, and the OS spreads
+        // them (optionally pinning builders round-robin over the
+        // usable CPUs).
         std::vector<std::thread> builders;
         builders.reserve(std::size_t(s));
-        for (unsigned sh = 0; sh < s; ++sh) {
-            int cpu = -1;
-            if (numa == NumaPolicy::NodeBound)
-                cpu = int(t.cpuOnNode(shardNode_[sh],
-                                      nextOnNode[shardNode_[sh]]++));
-            builders.emplace_back([&, sh, cpu] {
-                if (cpu >= 0)
-                    pinThreadToCpu(t, unsigned(cpu));
-                else if (pinBuilders)
+        for (unsigned sh = 0; sh < s; ++sh)
+            builders.emplace_back([&, sh] {
+                if (pinBuilders)
                     pinCurrentThread(sh);
                 buildShard(sh);
             });
-        }
-        for (auto &t_ : builders)
-            t_.join();
+        for (auto &t : builders)
+            t.join();
     } else {
         for (unsigned sh = 0; sh < s; ++sh)
             buildShard(sh);

@@ -40,7 +40,6 @@
 #include "common/arena.hh"
 #include "common/epoch.hh"
 #include "common/thread_safety.hh"
-#include "common/topology.hh"
 #include "db/column.hh"
 #include "db/hash_index.hh"
 #include "service/service_config.hh"
@@ -77,20 +76,13 @@ class ShardedIndex
      *        count across shards (rounded up to a power of two).
      * @param shards shard count; clamped to a power of two in
      *        [1, min(kMaxShards, total buckets)].
-     * @param numa arena placement (see NumaPolicy). NodeBound pins
-     *        each shard's build thread to a CPU on the shard's
-     *        target node (Topology::nodeForSlot), so first-touch
-     *        lands the arena pages node-local to the shard's home
-     *        walkers.
+     * @param numa arena placement (see NumaPolicy).
      * @param pinBuilders with FirstTouch, pin shard build threads
-     *        round-robin over the usable CPUs (NodeBound always
-     *        pins).
-     * @param topo topology override for tests; null = host.
+     *        round-robin over the usable CPUs.
      */
     ShardedIndex(const db::Column &keys, const db::IndexSpec &spec,
                  unsigned shards, NumaPolicy numa = NumaPolicy::None,
                  bool pinBuilders = false,
-                 const Topology *topo = nullptr,
                  const MutationConfig &mut = {});
 
     ShardedIndex(const ShardedIndex &) = delete;
@@ -113,20 +105,6 @@ class ShardedIndex
     shardOf(u64 hash) const
     {
         return unsigned((hash >> shardShift_) & shardMask_);
-    }
-
-    /** The shard's target NUMA node (block distribution over the
-     *  build topology; 0 for views and single-node hosts). The
-     *  mapping is computed for every placement policy so dispatch
-     *  routing can home walkers even when arenas float. */
-    unsigned shardNode(unsigned s) const { return shardNode_[s]; }
-
-    /** Record one batched tag sweep in the cross-shard aggregate
-     *  stats (the shard-affine drains filter against a single
-     *  shard's index, which feeds only that shard's counters). */
-    void noteTagSweep(u64 n, u64 rejected) const
-    {
-        stats_.note(n, rejected);
     }
 
     // --- Probe surface (hash-addressed; see db/hash_index.hh) ----------
@@ -332,7 +310,6 @@ class ShardedIndex
     unsigned shardShift_ = 0; ///< log2(per-shard buckets)
     u64 shardMask_ = 0;       ///< shards - 1
     unsigned log2Shards_ = 0; ///< log2(shard count)
-    std::vector<unsigned> shardNode_{0}; ///< target node per shard
     db::HashFn hashFn_{}; ///< shard-free copy for hashBatch
     bool indirect_ = false;
     bool live_ = false;

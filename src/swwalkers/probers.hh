@@ -130,10 +130,7 @@ inline constexpr unsigned kMaxWidth = 64;
  * the drain runs with its own tag check off and never loads a tag
  * byte per key. Shared by WalkerPool chunk drains (base = the
  * chunk's offset in the probed span) and IndexService dispatch
- * windows (base = 0: window-local ordinals) — including the
- * service's shard-affine windows, whose keys were already hashed
- * at admission and belong to a single shard, so the Index side of
- * the drain is that shard's flat db::HashIndex.
+ * windows (base = 0: window-local ordinals).
  */
 class HashedChunkStream
 {
@@ -381,12 +378,11 @@ class GroupPrefetchProber
  * machines. The Stream supplies pre-hashed keys via
  * `bool next(std::size_t &i, u64 &key, u64 &hash)` — HashedWindow
  * for the single-threaded prober, a claimed window-ring chunk for
- * WalkerPool threads, a coalesced (or shard-affine, admission-
- * hashed) dispatch window for IndexService walkers — and the Index
- * supplies the hash-addressed probe surface (tagMayMatchHash /
- * bucketHeadFor / nodeKey), so the same state machine serves a
- * flat db::HashIndex, one shard of a sharded service index, and
- * the shard-blind ShardedIndex surface alike.
+ * WalkerPool threads, a coalesced dispatch window for IndexService
+ * walkers — and the Index supplies the hash-addressed probe surface
+ * (tagMayMatchHash / bucketHeadFor / nodeKey), so the same state
+ * machine serves a flat db::HashIndex and the shard-blind
+ * ShardedIndex surface alike.
  */
 template <ProbeSurface Index, typename Stream, typename Sink>
 u64

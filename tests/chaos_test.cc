@@ -139,10 +139,14 @@ TEST_F(ChaosTest, StalledWalkerDoesNotBlockOrCorruptTraffic)
     ServiceConfig cfg;
     cfg.shards = 4;
     cfg.walkers = 4;
-    cfg.affineRouting = true; // stealing is the recovery path
     cfg.watchdogPeriodNs = 5'000'000;   // 5 ms poll
     cfg.stallThresholdNs = 40'000'000;  // call it stuck at 40 ms
-    IndexService service(*d.flat, cfg);
+    // Built from the column, so the walkers drain a 4-shard
+    // ShardedIndex. The recovery path is the shared window queue:
+    // any walker claims any window, so the three live walkers take
+    // every window the frozen one is not holding.
+    IndexService service(*d.build, d.spec, cfg);
+    ASSERT_EQ(service.shards(), 4u);
 
     // Freeze exactly one claimed window for 250 ms — well past the
     // stall threshold — while the other three walkers keep going.

@@ -267,7 +267,6 @@ TEST(Fuzz, ServiceSurvivesRandomFailpointSchedules)
         sw::ServiceConfig cfg;
         cfg.shards = 1u << rng.below(3);
         cfg.walkers = 1 + unsigned(rng.below(4));
-        cfg.affineRouting = rng.chance(0.5);
         cfg.coalesceTails = rng.chance(0.5);
         sw::IndexService service(flat, cfg);
 

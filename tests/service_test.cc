@@ -87,6 +87,22 @@ expectSameSequence(const std::vector<MatchRec> &got,
     }
 }
 
+/** Reap until `want` completions have arrived, giving up after 30 s.
+ *  A time bound, not a call count: reap() returns as soon as any
+ *  completion is ready, so a fast host can spend hundreds of calls
+ *  on a few completions each. */
+void
+reapUntil(CompletionQueue &cq, std::vector<Completion> &done,
+          std::size_t want)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (done.size() < want &&
+           std::chrono::steady_clock::now() < deadline)
+        cq.reap(done, want - done.size(),
+                std::chrono::milliseconds(100));
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -152,33 +168,6 @@ TEST(ShardedIndex, FirstTouchBuildMatchesSequentialBuild)
     }
 }
 
-TEST(ShardedIndex, NodeBoundBuildMatchesSequentialBuild)
-{
-    // A synthetic 2-node topology: the build must pin each shard's
-    // builder toward its target node (best effort — the fake CPUs
-    // may not exist on the runner) and still produce exactly the
-    // sequential index.
-    const Topology topo = Topology::fromNodes({{0}, {1}});
-    Dataset d(4000, 2000, false, 0.0, 6);
-    ShardedIndex seq(*d.build, d.spec, 4, NumaPolicy::None);
-    ShardedIndex bound(*d.build, d.spec, 4, NumaPolicy::NodeBound,
-                       false, &topo);
-    EXPECT_EQ(bound.entries(), seq.entries());
-    for (unsigned s = 0; s < 4; ++s) {
-        EXPECT_EQ(bound.shard(s).entries(),
-                  seq.shard(s).entries());
-        for (u64 key : d.keys)
-            EXPECT_EQ(bound.shard(s).lookup(key),
-                      seq.shard(s).lookup(key));
-    }
-    // Block distribution over the injected tree: the low shard half
-    // targets node 0, the high half node 1.
-    EXPECT_EQ(bound.shardNode(0), 0u);
-    EXPECT_EQ(bound.shardNode(1), 0u);
-    EXPECT_EQ(bound.shardNode(2), 1u);
-    EXPECT_EQ(bound.shardNode(3), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // IndexService: request equivalence
 // ---------------------------------------------------------------------------
@@ -192,21 +181,8 @@ struct ServiceCase
     double zipf;
     unsigned batch;
     bool tagged;
-    bool affine = false;
     bool coalesce = true;
 };
-
-/** A synthetic 2-node topology shared by the routing cases, so the
- *  multi-node placement and home-set code paths run even on
- *  single-node (and single-core) runners. The fake CPUs may not
- *  exist on the host; pinning is best-effort and stays off here. */
-const Topology &
-fakeTwoNode()
-{
-    static const Topology topo =
-        Topology::fromNodes({{0, 1}, {2, 3}});
-    return topo;
-}
 
 class ServiceEquivalence
     : public ::testing::TestWithParam<ServiceCase>
@@ -225,12 +201,8 @@ TEST_P(ServiceEquivalence, ByteIdenticalToProbeBatch)
     cfg.engine = c.engine;
     cfg.pipeline.batch = c.batch;
     cfg.pipeline.tagged = c.tagged;
-    cfg.affineRouting = c.affine;
     cfg.coalesceTails = c.coalesce;
-    if (c.affine)
-        cfg.topology = &fakeTwoNode();
     IndexService service(*d.build, d.spec, cfg);
-    EXPECT_EQ(service.affineRouting(), c.affine && c.shards > 1);
 
     ServiceResult probe = service.probe(d.keys);
     EXPECT_EQ(probe.matches, want.size());
@@ -261,10 +233,7 @@ TEST_P(ServiceEquivalence, ByteIdenticalToProbeBatch)
                 {}, cq, nSlices);
         }
         std::vector<Completion> done;
-        for (int tries = 0;
-             done.size() < nSlices && tries < 200; ++tries)
-            cq->reap(done, nSlices,
-                     std::chrono::milliseconds(100));
+        reapUntil(*cq, done, nSlices);
         ASSERT_EQ(done.size(), nSlices);
         std::vector<std::vector<MatchRec>> bySlice(nSlices);
         for (Completion &comp : done) {
@@ -278,19 +247,6 @@ TEST_P(ServiceEquivalence, ByteIdenticalToProbeBatch)
                 got.push_back(
                     {r.i + sliceBase[s], r.key, r.payload});
         expectSameSequence(got, want, "async slices");
-    }
-
-    if (service.affineRouting()) {
-        // Every drained window was a single-shard affine window,
-        // and every shard has exactly one home walker.
-        const ServiceStats stats = service.stats();
-        EXPECT_EQ(stats.affineWindows, stats.windows);
-        std::vector<unsigned> owners(service.shards(), 0);
-        for (unsigned w = 0; w < service.walkers(); ++w)
-            for (unsigned s : service.homeShards(w))
-                ++owners[s];
-        for (unsigned s = 0; s < service.shards(); ++s)
-            EXPECT_EQ(owners[s], 1u) << "shard " << s;
     }
 }
 
@@ -317,37 +273,14 @@ INSTANTIATE_TEST_SUITE_P(
         ServiceCase{4, 4, WalkerEngine::Amac, false, 0.8, 64, true},
         ServiceCase{4, 2, WalkerEngine::Coro, true, 0.99, 32,
                     false},
-        // Shard-affine routing sweep (fake 2-node topology):
-        // shards x walkers x engine x tag x chunk x layout x skew,
-        // with the routing-off twin of each shape above for the
-        // on/off acceptance comparison.
-        ServiceCase{2, 2, WalkerEngine::Amac, false, 0.0, 64, true,
-                    true},
-        ServiceCase{4, 4, WalkerEngine::Amac, false, 0.0, 64, true,
-                    true},
-        ServiceCase{8, 2, WalkerEngine::Amac, false, 0.0, 64, true,
-                    true},
-        ServiceCase{4, 1, WalkerEngine::Amac, false, 0.0, 64, true,
-                    true},
-        ServiceCase{2, 4, WalkerEngine::Coro, false, 0.0, 64, true,
-                    true},
-        ServiceCase{4, 2, WalkerEngine::Coro, true, 0.99, 32, false,
-                    true},
-        ServiceCase{4, 4, WalkerEngine::Amac, false, 0.0, 16, false,
-                    true},
-        ServiceCase{4, 4, WalkerEngine::Amac, false, 0.8, 0, true,
-                    true},
-        // affine flag on a single shard degrades to the flat path.
-        ServiceCase{1, 2, WalkerEngine::Amac, false, 0.0, 64, true,
-                    true},
-        // Coalescing off: tails seal their own windows (shared and
-        // affine admission paths) — results must not care.
+        // Coalescing off: tails seal their own windows — results
+        // must not care.
         ServiceCase{1, 4, WalkerEngine::Amac, false, 0.0, 64, true,
-                    false, false},
+                    false},
         ServiceCase{4, 2, WalkerEngine::Coro, false, 0.0, 16, true,
-                    false, false},
+                    false},
         ServiceCase{4, 4, WalkerEngine::Amac, false, 0.6, 64, true,
-                    true, false}));
+                    false}));
 
 TEST(IndexService, WrapsAnExistingIndex)
 {
@@ -387,30 +320,25 @@ TEST(IndexService, ServiceWithNoRequestsTearsDownCleanly)
     // Destructor parks -> joins with zero traffic.
 }
 
-TEST(IndexService, ResultsIndependentOfWalkersShardsAndRouting)
+TEST(IndexService, ResultsIndependentOfWalkersAndShards)
 {
     Dataset d(4000, 20000, false, 0.6, 11);
     std::vector<MatchRec> first;
     bool have_first = false;
     for (unsigned shards : {1u, 4u})
-        for (unsigned walkers : {1u, 2u, 4u})
-            for (bool affine : {false, true}) {
-                ServiceConfig cfg;
-                cfg.shards = shards;
-                cfg.walkers = walkers;
-                cfg.affineRouting = affine;
-                if (affine)
-                    cfg.topology = &fakeTwoNode();
-                IndexService service(*d.build, d.spec, cfg);
-                ServiceResult got = service.probe(d.keys);
-                if (!have_first) {
-                    first = std::move(got.recs);
-                    have_first = true;
-                    continue;
-                }
-                expectSameSequence(got.recs, first,
-                                   "cross-config");
+        for (unsigned walkers : {1u, 2u, 4u}) {
+            ServiceConfig cfg;
+            cfg.shards = shards;
+            cfg.walkers = walkers;
+            IndexService service(*d.build, d.spec, cfg);
+            ServiceResult got = service.probe(d.keys);
+            if (!have_first) {
+                first = std::move(got.recs);
+                have_first = true;
+                continue;
             }
+            expectSameSequence(got.recs, first, "cross-config");
+        }
 }
 
 TEST(IndexService, CoalescesSmallRequestsIntoSharedWindows)
@@ -451,43 +379,34 @@ TEST(IndexService, CoalescesSmallRequestsIntoSharedWindows)
 TEST(IndexService, CoalescingOffNeverSharesWindows)
 {
     Dataset d(2000, 6000, false, 0.0, 13);
-    for (bool affine : {false, true}) {
-        ServiceConfig cfg;
-        cfg.shards = affine ? 4 : 1;
-        cfg.walkers = 1;
-        cfg.affineRouting = affine;
-        if (affine)
-            cfg.topology = &fakeTwoNode();
-        cfg.pipeline.batch = 64;
-        cfg.coalesceTails = false;
-        IndexService service(*d.build, d.spec, cfg);
+    ServiceConfig cfg;
+    cfg.walkers = 1;
+    cfg.pipeline.batch = 64;
+    cfg.coalesceTails = false;
+    IndexService service(*d.build, d.spec, cfg);
 
-        // The exact shape that forces coalescing when it is on
-        // (busy walker + 200 concurrent sub-chunk requests): with
-        // coalescing off every tail must seal its own window.
-        ResultTicket big = service.submit(
-            RequestKind::Count, std::span<const u64>(d.keys));
-        std::vector<ResultTicket> tickets;
-        std::vector<std::span<const u64>> spans;
-        for (std::size_t base = 0; base + 7 <= d.keys.size() &&
-                                   tickets.size() < 200;
-             base += 7) {
-            spans.push_back(
-                std::span<const u64>(d.keys).subspan(base, 7));
-            tickets.push_back(
-                service.submit(RequestKind::Probe, spans.back()));
-        }
-        EXPECT_EQ(big.get().matches,
-                  refSequence(*d.flat, d.keys).size());
-        for (std::size_t t = 0; t < tickets.size(); ++t) {
-            const auto want = refSequence(*d.flat, spans[t]);
-            ServiceResult got = tickets[t].get();
-            expectSameSequence(got.recs, want, "uncoalesced");
-        }
-        const ServiceStats stats = service.stats();
-        EXPECT_EQ(stats.coalescedWindows, 0u)
-            << (affine ? "affine" : "shared");
+    // The exact shape that forces coalescing when it is on (busy
+    // walker + 200 concurrent sub-chunk requests): with coalescing
+    // off every tail must seal its own window.
+    ResultTicket big = service.submit(
+        RequestKind::Count, std::span<const u64>(d.keys));
+    std::vector<ResultTicket> tickets;
+    std::vector<std::span<const u64>> spans;
+    for (std::size_t base = 0; base + 7 <= d.keys.size() &&
+                               tickets.size() < 200;
+         base += 7) {
+        spans.push_back(std::span<const u64>(d.keys).subspan(base, 7));
+        tickets.push_back(
+            service.submit(RequestKind::Probe, spans.back()));
     }
+    EXPECT_EQ(big.get().matches,
+              refSequence(*d.flat, d.keys).size());
+    for (std::size_t t = 0; t < tickets.size(); ++t) {
+        const auto want = refSequence(*d.flat, spans[t]);
+        ServiceResult got = tickets[t].get();
+        expectSameSequence(got.recs, want, "uncoalesced");
+    }
+    EXPECT_EQ(service.stats().coalescedWindows, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -649,110 +568,6 @@ TEST(IndexService, LatencyRecordingCanBeDisabled)
 }
 
 // ---------------------------------------------------------------------------
-// Shard-affine routing
-// ---------------------------------------------------------------------------
-
-TEST(IndexService, AffineScattersKeysIntoPerShardWindows)
-{
-    Dataset d(4000, 4096, false, 0.0, 19);
-    ServiceConfig cfg;
-    cfg.shards = 4;
-    cfg.walkers = 2;
-    cfg.affineRouting = true;
-    cfg.topology = &fakeTwoNode();
-    cfg.pipeline.batch = 64;
-    IndexService service(*d.build, d.spec, cfg);
-    ASSERT_TRUE(service.affineRouting());
-
-    const auto want = refSequence(*d.flat, d.keys);
-    ServiceResult got = service.probe(d.keys);
-    expectSameSequence(got.recs, want, "affine-scatter");
-
-    const ServiceStats stats = service.stats();
-    // Every window drained was a single-shard window, and a 4096-key
-    // uniform request fans out across more windows than the flat
-    // chunking would use (keys scatter by hash range).
-    EXPECT_EQ(stats.affineWindows, stats.windows);
-    EXPECT_GE(stats.windows, u64(d.keys.size() / 64));
-}
-
-TEST(IndexService, AffineCoalescesSmallRequestsPerShard)
-{
-    Dataset d(2000, 6000, false, 0.0, 13);
-    ServiceConfig cfg;
-    cfg.shards = 4;
-    cfg.walkers = 1;
-    cfg.affineRouting = true;
-    cfg.topology = &fakeTwoNode();
-    cfg.pipeline.batch = 64;
-    IndexService service(*d.build, d.spec, cfg);
-
-    // Occupy the lone walker, then fire many sub-chunk requests
-    // before waiting on any ticket: their keys scatter into the
-    // per-shard open windows, where tails from different requests
-    // coalesce (a 7-key request's shard-s keys share a window with
-    // other requests' shard-s keys).
-    ResultTicket big = service.submit(
-        RequestKind::Count, std::span<const u64>(d.keys));
-    std::vector<ResultTicket> tickets;
-    std::vector<std::span<const u64>> spans;
-    for (std::size_t base = 0; base + 7 <= d.keys.size() &&
-                               tickets.size() < 200;
-         base += 7) {
-        spans.push_back(
-            std::span<const u64>(d.keys).subspan(base, 7));
-        tickets.push_back(
-            service.submit(RequestKind::Probe, spans.back()));
-    }
-    EXPECT_EQ(big.get().matches,
-              refSequence(*d.flat, d.keys).size());
-    for (std::size_t t = 0; t < tickets.size(); ++t) {
-        const auto want = refSequence(*d.flat, spans[t]);
-        ServiceResult got = tickets[t].get();
-        expectSameSequence(got.recs, want, "affine-coalesced");
-    }
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.requests, tickets.size() + 1);
-    EXPECT_GT(stats.coalescedWindows, 0u);
-    EXPECT_EQ(stats.affineWindows, stats.windows);
-}
-
-TEST(IndexService, SkewedShardTrafficIsServedBySteal)
-{
-    // All probe keys target a single shard (found by hashing), so
-    // only that shard's home walker has home work; with several
-    // walkers the others may steal, and either way every request
-    // must complete exactly (no idle-pool livelock on skew).
-    Dataset d(4000, 0, false, 0.0, 21);
-    ServiceConfig cfg;
-    cfg.shards = 4;
-    cfg.walkers = 4;
-    cfg.affineRouting = true;
-    cfg.topology = &fakeTwoNode();
-    cfg.pipeline.batch = 64;
-    IndexService service(*d.build, d.spec, cfg);
-    ASSERT_TRUE(service.affineRouting());
-
-    const ShardedIndex &idx = service.index();
-    std::vector<u64> skewed;
-    for (u64 k = 1; skewed.size() < 4000 && k < 200000; ++k)
-        if (idx.shardOf(idx.shard(0).hashKey(k)) == 0)
-            skewed.push_back(k);
-    ASSERT_GE(skewed.size(), 1000u);
-
-    const auto want = refSequence(*d.flat, skewed);
-    ServiceResult got = service.probe(skewed);
-    expectSameSequence(got.recs, want, "skewed");
-
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.affineWindows, stats.windows);
-    // stolenWindows is timing-dependent (a fast home walker can
-    // drain everything); the accounting must never exceed the
-    // window count.
-    EXPECT_LE(stats.stolenWindows, stats.windows);
-}
-
-// ---------------------------------------------------------------------------
 // Concurrent clients (the TSan target)
 // ---------------------------------------------------------------------------
 
@@ -760,22 +575,15 @@ TEST(IndexService, SkewedShardTrafficIsServedBySteal)
  *  probe/count/join requests — uniform and zipf keys, sub-chunk
  *  through multi-chunk sizes — and each verifies its results
  *  against the single-threaded reference. Raced under the CI TSan
- *  job (ctest PROCESSORS is set in CMakeLists.txt); run twice, once
- *  per routing mode, so the scatter path and the work-stealing
- *  claim race too. */
-void
-concurrentClientsStress(bool affine)
+ *  job (ctest PROCESSORS is set in CMakeLists.txt). */
+TEST(IndexService, ConcurrentClientsStress)
 {
     Dataset d(8192, 0, false, 0.0, 17);
     ServiceConfig cfg;
     cfg.shards = 4;
     cfg.walkers = 4;
     cfg.pipeline.batch = 64;
-    cfg.affineRouting = affine;
-    if (affine)
-        cfg.topology = &fakeTwoNode();
     IndexService service(*d.build, d.spec, cfg);
-    ASSERT_EQ(service.affineRouting(), affine);
 
     constexpr unsigned kClients = 6;
     constexpr unsigned kRequests = 24;
@@ -821,21 +629,7 @@ concurrentClientsStress(bool affine)
         t.join();
     for (unsigned cl = 0; cl < kClients; ++cl)
         EXPECT_EQ(failures[cl], "") << "client " << cl;
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.requests, u64(kClients) * kRequests);
-    if (affine) {
-        EXPECT_EQ(stats.affineWindows, stats.windows);
-    }
-}
-
-TEST(IndexService, ConcurrentClientsStress)
-{
-    concurrentClientsStress(false);
-}
-
-TEST(IndexService, ConcurrentClientsStressAffine)
-{
-    concurrentClientsStress(true);
+    EXPECT_EQ(service.stats().requests, u64(kClients) * kRequests);
 }
 
 // ---------------------------------------------------------------------------
@@ -1093,18 +887,6 @@ TEST(IndexService, BackpressureRejectsOverBudgetSubmissions)
     expectBackpressureBounces(service, d);
 }
 
-TEST(IndexService, BackpressureRejectsAffineSubmissions)
-{
-    Dataset d(1u << 15, 1u << 19, false, 0.0, 59);
-    ServiceConfig cfg;
-    cfg.walkers = 1;
-    cfg.shards = 4;
-    cfg.affineRouting = true;
-    cfg.maxQueuedKeys = 256;
-    IndexService service(*d.flat, cfg);
-    expectBackpressureBounces(service, d);
-}
-
 // ---------------------------------------------------------------------------
 // Shutdown semantics
 // ---------------------------------------------------------------------------
@@ -1148,29 +930,6 @@ TEST(IndexService, StopCancelsQueuedTicketsAndNeverHangs)
     EXPECT_EQ(late.waitFor(0ns), WaitStatus::Ready);
     EXPECT_EQ(late.get().status, Status::Cancelled);
     service.stop();
-}
-
-TEST(IndexService, StopWithAffineBacklogCancelsCleanly)
-{
-    using namespace std::chrono_literals;
-    Dataset d(1u << 15, 1u << 17, false, 0.0, 67);
-    ServiceConfig cfg;
-    cfg.walkers = 2;
-    cfg.shards = 4;
-    cfg.affineRouting = true;
-    IndexService service(*d.flat, cfg);
-
-    std::vector<ResultTicket> tickets;
-    for (int i = 0; i < 4; ++i)
-        tickets.push_back(
-            service.submit(RequestKind::Count, d.keys));
-    service.stop();
-    for (ResultTicket &t : tickets) {
-        EXPECT_EQ(t.waitFor(0ns), WaitStatus::Ready);
-        const ServiceResult r = t.get();
-        EXPECT_TRUE(r.status == Status::Ok ||
-                    r.status == Status::Cancelled);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1297,8 +1056,7 @@ TEST(IndexService, AsyncThousandsInFlightFromOneThread)
     // count is kReqs >= 1024 right now.
 
     std::vector<Completion> done;
-    for (int tries = 0; done.size() < kReqs && tries < 300; ++tries)
-        cq->reap(done, kReqs, std::chrono::milliseconds(100));
+    reapUntil(*cq, done, kReqs);
     ASSERT_EQ(done.size(), kReqs);
 
     std::vector<bool> seen(kReqs, false);
@@ -1356,8 +1114,10 @@ TEST(IndexService, ReapBatchesUnderConcurrentSubmitters)
     u64 reaped = 0;
     std::size_t maxBatch = 0;
     std::vector<Completion> batch;
-    for (int tries = 0;
-         reaped < kThreads * kPerThread && tries < 600; ++tries) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (reaped < kThreads * kPerThread &&
+           std::chrono::steady_clock::now() < deadline) {
         batch.clear();
         cq->reap(batch, 64, std::chrono::milliseconds(50));
         maxBatch = std::max(maxBatch, batch.size());
@@ -1393,8 +1153,7 @@ TEST(IndexService, AsyncCompletionsOutrunSubmissionOrder)
                         {}, cq, 2);
 
     std::vector<Completion> done;
-    for (int tries = 0; done.size() < 2 && tries < 200; ++tries)
-        cq->reap(done, 2, std::chrono::milliseconds(100));
+    reapUntil(*cq, done, 2);
     ASSERT_EQ(done.size(), 2u);
     EXPECT_TRUE((done[0].tag == 1 && done[1].tag == 2) ||
                 (done[0].tag == 2 && done[1].tag == 1));

@@ -3,9 +3,8 @@
  * Tests for widx::Topology (src/common/topology.{hh,cc}): sysfs
  * cpulist parsing against injected fake trees (1-node, 2-node,
  * sparse/offline-CPU layouts), affinity-mask intersection, the
- * slot -> node/CPU placement queries the service's shard-affine
- * routing is built on, and the folding behavior of the pinning
- * helpers.
+ * slot -> CPU placement query, and the folding behavior of the
+ * pinning helpers.
  */
 
 #include <gtest/gtest.h>
@@ -88,7 +87,7 @@ TEST(Topology, ParsesTwoNodeTree)
     EXPECT_EQ(t.cpus(), 8u);
     EXPECT_EQ(t.nodeOfCpu(2), 0);
     EXPECT_EQ(t.nodeOfCpu(5), 1);
-    EXPECT_EQ(t.cpuOnNode(1, 0), 4u);
+    EXPECT_EQ(t.cpusOnNode(1)[0], 4u);
 }
 
 TEST(Topology, ParsesSparseAndOfflineCpuLayouts)
@@ -168,27 +167,6 @@ TEST(Topology, FromNodesBuildsSyntheticTopologies)
     EXPECT_EQ(e.cpus(), 1u);
 }
 
-TEST(Topology, NodeForSlotBlockDistributes)
-{
-    const Topology t = Topology::fromNodes({{0, 1}, {2, 3}});
-    // shards/walkers >= nodes: contiguous halves.
-    EXPECT_EQ(t.nodeForSlot(0, 4), 0u);
-    EXPECT_EQ(t.nodeForSlot(1, 4), 0u);
-    EXPECT_EQ(t.nodeForSlot(2, 4), 1u);
-    EXPECT_EQ(t.nodeForSlot(3, 4), 1u);
-    // Fewer slots than nodes: slots spread out.
-    EXPECT_EQ(t.nodeForSlot(0, 1), 0u);
-    const Topology q =
-        Topology::fromNodes({{0}, {1}, {2}, {3}});
-    EXPECT_EQ(q.nodeForSlot(0, 2), 0u);
-    EXPECT_EQ(q.nodeForSlot(1, 2), 2u);
-    // Shards and walkers distributed with the same slot count land
-    // on the same node — the invariant home-set routing relies on.
-    for (unsigned slots : {2u, 4u, 8u})
-        for (unsigned s = 0; s < slots; ++s)
-            EXPECT_LT(t.nodeForSlot(s, slots), t.nodes());
-}
-
 TEST(Topology, CpuForSlotFoldsOverUsableCpus)
 {
     const Topology t = Topology::fromNodes({{0, 2}, {5, 9}});
@@ -201,10 +179,6 @@ TEST(Topology, CpuForSlotFoldsOverUsableCpus)
     // Folding wraps over the usable list, not over [0, hw).
     EXPECT_EQ(t.cpuForSlot(4), 0u);
     EXPECT_EQ(t.cpuForSlot(7), 9u);
-    // Within-node folding for builder/walker cycling.
-    EXPECT_EQ(t.cpuOnNode(1, 0), 5u);
-    EXPECT_EQ(t.cpuOnNode(1, 1), 9u);
-    EXPECT_EQ(t.cpuOnNode(1, 2), 5u);
 }
 
 TEST(Topology, HostIsAlwaysUsable)
