@@ -9,7 +9,7 @@
  * Walks through the service API:
  *   1. load a build relation into a column;
  *   2. start an IndexService owning 4 hash-range shards (built in
- *      parallel, one first-touch build thread per shard), with 4
+ *      parallel, up to one first-touch build thread per shard), with 4
  *      persistent walker threads parked between requests that
  *      claim any shared dispatch window, whatever shards its keys
  *      land in;
@@ -113,8 +113,8 @@ main(int argc, char **argv)
     std::vector<u64> probePool = wl::uniformKeys(1u << 20, tuples, rng);
 
     // 2. Service: 4 hash-range shards (each with its own bucket+tag
-    //    arena, first-touched by its own build thread), 4 walkers
-    //    parked on a condvar between requests.
+    //    arena, first-touched by the build thread that fills it), 4
+    //    walkers parked on a condvar between requests.
     const Topology &topo = Topology::host();
     std::printf("topology: %u node(s), %u usable CPU(s)\n",
                 topo.nodes(), topo.cpus());
@@ -125,7 +125,6 @@ main(int argc, char **argv)
     cfg.shards = 4;
     cfg.walkers = 4;
     cfg.pipeline.adaptiveTags = true;
-    cfg.numa = sw::NumaPolicy::FirstTouch;
     // Observability: hardware-counter sampling every 32nd window
     // (degrades to zeros where perf is denied) and a span-trace
     // ring shared with the TCP server's reaper.

@@ -1,10 +1,64 @@
 #include "common/arena.hh"
 
-#include <cstring>
+#include <cstdlib>
+
+#include <sys/mman.h>
 
 #include "common/logging.hh"
 
+// Sanitizer builds take chunks from the heap (see arena.hh): ASan
+// and TSan treat free() as a release, munmap() only as a shadow reset.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define WIDX_ARENA_HEAP_CHUNKS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define WIDX_ARENA_HEAP_CHUNKS 1
+#endif
+#endif
+
 namespace widx {
+
+namespace {
+
+/** Zero-filled storage of `bytes` bytes for one chunk. */
+unsigned char *
+mapChunk(std::size_t bytes)
+{
+#ifdef WIDX_ARENA_HEAP_CHUNKS
+    void *p = std::calloc(bytes, 1);
+    fatal_if(p == nullptr, "arena: calloc of %zu bytes failed", bytes);
+#else
+    // Fresh anonymous pages read as zero: that is the arena's
+    // zero-initialization, paid for lazily at first touch.
+    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    fatal_if(p == MAP_FAILED, "arena: mmap of %zu bytes failed", bytes);
+#endif
+    return static_cast<unsigned char *>(p);
+}
+
+/** Offset within `base` of the first `align`-aligned address at or
+ *  after base + used. */
+std::size_t
+alignedOffset(const unsigned char *base, std::size_t used,
+              std::size_t align)
+{
+    const std::size_t b = reinterpret_cast<std::size_t>(base);
+    return ((b + used + align - 1) & ~(align - 1)) - b;
+}
+
+} // namespace
+
+void
+Arena::ChunkFree::operator()(unsigned char *p) const
+{
+#ifdef WIDX_ARENA_HEAP_CHUNKS
+    (void)bytes;
+    std::free(p);
+#else
+    ::munmap(p, bytes);
+#endif
+}
 
 Arena::Arena(std::size_t chunk_bytes)
     : chunkBytes_(chunk_bytes)
@@ -17,15 +71,14 @@ Arena::ensureRoom(std::size_t bytes, std::size_t align)
 {
     if (!chunks_.empty()) {
         Chunk &c = chunks_.back();
-        std::size_t aligned = (c.used + align - 1) & ~(align - 1);
-        if (aligned + bytes <= c.size)
+        if (alignedOffset(c.data.get(), c.used, align) + bytes <= c.size)
             return c;
     }
+    // bytes + align fits one aligned allocation at any chunk base.
     std::size_t want = bytes + align > chunkBytes_ ? bytes + align
                                                    : chunkBytes_;
     Chunk c;
-    c.data = std::make_unique<unsigned char[]>(want);
-    std::memset(c.data.get(), 0, want);
+    c.data = {mapChunk(want), ChunkFree{want}};
     c.size = want;
     c.used = 0;
     reserved_ += want;
@@ -41,11 +94,10 @@ Arena::allocateBytes(std::size_t bytes, std::size_t align)
     if (bytes == 0)
         bytes = 1;
     Chunk &c = ensureRoom(bytes, align);
-    std::size_t base = reinterpret_cast<std::size_t>(c.data.get());
-    std::size_t aligned = (base + c.used + align - 1) & ~(align - 1);
-    c.used = aligned - base + bytes;
+    const std::size_t off = alignedOffset(c.data.get(), c.used, align);
+    c.used = off + bytes;
     allocated_ += bytes;
-    return reinterpret_cast<void *>(aligned);
+    return c.data.get() + off;
 }
 
 void

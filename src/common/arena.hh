@@ -8,6 +8,22 @@
  * realistic page/cache-block structure. Allocation never moves
  * existing objects, so node pointers stay valid for the lifetime of
  * the arena.
+ *
+ * Chunks are private anonymous mappings (mmap), returned with munmap
+ * when the arena dies or releases them. The kernel's zero pages are
+ * the zero-initialization contract — no memset pass — and a page is
+ * first touched by whichever thread writes it first, so an index
+ * built on a shard's build thread lands where that thread runs.
+ * Going around malloc also keeps freed chunks out of per-thread
+ * malloc arenas, which would otherwise hold them (and peak RSS)
+ * after a multi-threaded build is torn down.
+ *
+ * Sanitizer builds (ASan, TSan) take chunks from calloc and return
+ * them with free instead. The sanitizers see munmap only as a
+ * shadow reset, and a later mmap may reuse the hole; a freed heap
+ * chunk stays poisoned, so a late read of a retired arena (say, by
+ * a reader the epoch protocol failed to wait for) is reported as a
+ * heap-use-after-free.
  */
 
 #ifndef WIDX_COMMON_ARENA_HH
@@ -78,9 +94,17 @@ class Arena
     void releaseAll();
 
   private:
+    /** Chunk deleter: munmap with the mapping's length (free in
+     *  sanitizer builds). */
+    struct ChunkFree
+    {
+        std::size_t bytes;
+        void operator()(unsigned char *p) const;
+    };
+
     struct Chunk
     {
-        std::unique_ptr<unsigned char[]> data;
+        std::unique_ptr<unsigned char[], ChunkFree> data;
         std::size_t size = 0;
         std::size_t used = 0;
     };

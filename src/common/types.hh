@@ -48,6 +48,14 @@ prefetchRead(const void *p)
     __builtin_prefetch(p, 0, 3);
 }
 
+/** Software prefetch, write intent: the line arrives ready to be
+ *  modified (the build-side twin of prefetchRead). */
+inline void
+prefetchWrite(const void *p)
+{
+    __builtin_prefetch(p, 1, 3);
+}
+
 /** Convert an address to its cache-block address (block-aligned). */
 constexpr Addr
 blockAlign(Addr a)

@@ -138,11 +138,16 @@ HashIndex::HashIndex(const IndexSpec &spec, Arena &arena)
 void
 HashIndex::insert(u64 key, u64 payload, Addr key_addr)
 {
+    insertHashed(key, hashKey(key), payload, key_addr);
+}
+
+void
+HashIndex::insertHashed(u64 key, u64 hash, u64 payload, Addr key_addr)
+{
     panic_if(key == kEmptyKey, "the all-ones key is reserved");
     panic_if(spec_.indirectKeys && key_addr == 0,
              "indirect index requires the key's storage address");
 
-    const u64 hash = hashKey(key);
     const u64 bidx = bucketIndexOf(hash);
     tags_[bidx] |= tagOf(hash);
 
@@ -167,10 +172,31 @@ HashIndex::insert(u64 key, u64 payload, Addr key_addr)
 }
 
 void
+HashIndex::GroupInserter::flush()
+{
+    HashIndex &x = *idx_;
+    // Dispatch: one write-intent prefetch per row for its tag byte
+    // and its bucket line (the header insert writes, or the chain
+    // head it pushes behind), so the group's misses are all in
+    // flight before the first insert waits on one.
+    for (std::size_t i = 0; i < n_; ++i) {
+        const u64 bidx = x.bucketIndexOf(hash_[i]);
+        prefetchWrite(&x.tags_[bidx]);
+        prefetchWrite(&x.buckets_[bidx]);
+    }
+    for (std::size_t i = 0; i < n_; ++i)
+        x.insertHashed(key_[i], hash_[i], payload_[i], addr_[i]);
+    n_ = 0;
+}
+
+void
 HashIndex::buildFromColumn(const Column &keys)
 {
-    for (RowId r = 0; r < keys.size(); ++r)
-        insert(keys.at(r), r, keys.addrOf(r));
+    GroupInserter ins(*this);
+    forEachHashedRow(keys, spec_.hashFn, [&](RowId r, u64 k, u64 h) {
+        ins.add(k, h, r, keys.addrOf(r));
+    });
+    ins.flush();
 }
 
 bool

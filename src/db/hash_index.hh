@@ -41,6 +41,11 @@
  *    accel/codegen and
  *    cpu/trace_gen see the exact layout they always did.
  *
+ * The build side uses the same overlap (GroupInserter): a group of
+ * rows' tag bytes and bucket lines is prefetched with write intent
+ * before the group is inserted, so a DRAM-resident build takes its
+ * misses in parallel rather than one per insert.
+ *
  * Match emission is templated (`Emit`/`Sink` parameters) instead of
  * funneled through std::function, so per-match callbacks inline and
  * the hot loop allocates nothing.
@@ -231,11 +236,88 @@ class HashIndex
     HashIndex(const IndexSpec &spec, Arena &arena);
 
     /** Insert one (key, payload) pair. For indirect layouts,
-     *  key_addr must be the address of the key's column storage. */
+     *  key_addr must be the address of the key's column storage.
+     *  The single-key path, and the reference the GroupInserter
+     *  must reproduce byte for byte. */
     void insert(u64 key, u64 payload, Addr key_addr = 0);
 
-    /** Bulk-build from a key column; payload r is the row id r. */
+    /** Rows per GroupInserter group: enough misses in flight to
+     *  cover the core's fill buffers; past them the extra
+     *  prefetches only queue. */
+    static constexpr std::size_t kInsertGroup = 32;
+
+    /**
+     * The build side of the dispatcher/walker split: rows arrive
+     * with their hash already computed, are staged kInsertGroup at
+     * a time, and a full group first prefetches every row's tag
+     * byte and bucket line with write intent, then inserts the rows
+     * in staging order. The group's misses overlap instead of
+     * serializing, and the result is byte-identical to insert()
+     * called in the same order (same chains, tags and node count).
+     * Every bulk path runs through it: buildFromColumn, the sharded
+     * build (one inserter per shard, fed by a single column scan)
+     * and the live rebuild of a shard.
+     *
+     * Writes go to the index unsynchronized: use it only while the
+     * index is private to the building thread.
+     */
+    class GroupInserter
+    {
+      public:
+        explicit GroupInserter(HashIndex &idx) : idx_(&idx) {}
+
+        /** Stage one row; `hash` must be hashFn()(key). A full
+         *  group is inserted before this returns. */
+        void
+        add(u64 key, u64 hash, u64 payload, Addr key_addr = 0)
+        {
+            key_[n_] = key;
+            hash_[n_] = hash;
+            payload_[n_] = payload;
+            addr_[n_] = key_addr;
+            if (++n_ == kInsertGroup)
+                flush();
+        }
+
+        /** Insert whatever is staged. Call before reading the
+         *  index. */
+        void flush();
+
+      private:
+        HashIndex *idx_;
+        std::size_t n_ = 0;
+        u64 key_[kInsertGroup]{};
+        u64 hash_[kInsertGroup]{};
+        u64 payload_[kInsertGroup]{};
+        Addr addr_[kInsertGroup]{};
+    };
+
+    /** Bulk-build from a key column in row order (payload r is the
+     *  row id r): the column is hashed kInsertGroup rows at a time
+     *  with the batch hash kernel and fed to a GroupInserter. */
     void buildFromColumn(const Column &keys);
+
+    /**
+     * One scan of a key column, hashed kInsertGroup rows at a time
+     * with `fn`'s batch kernel: calls each(row, key, hash) in row
+     * order. The scan under buildFromColumn and the sharded build.
+     */
+    template <typename Each>
+    static void
+    forEachHashedRow(const Column &keys, const HashFn &fn, Each &&each)
+    {
+        u64 kbuf[kInsertGroup]{};
+        u64 hbuf[kInsertGroup]{};
+        for (RowId base = 0; base < keys.size(); base += kInsertGroup) {
+            const std::size_t n = std::size_t(
+                std::min<u64>(kInsertGroup, keys.size() - base));
+            for (std::size_t i = 0; i < n; ++i)
+                kbuf[i] = keys.at(base + i);
+            fn.hashBatch({kbuf, n}, {hbuf, n});
+            for (std::size_t i = 0; i < n; ++i)
+                each(base + i, kbuf[i], hbuf[i]);
+        }
+    }
 
     // --- Probing -------------------------------------------------------
 
@@ -686,6 +768,10 @@ class HashIndex
 
     u64 entries() const { return entries_; }
 
+    /** Overflow nodes ever taken from the arena (chain nodes behind
+     *  the bucket headers; erased and recycled ones still count). */
+    u64 overflowNodes() const { return overflowNodes_; }
+
     /** Mean nodes per non-empty bucket. */
     double avgBucketDepth() const;
 
@@ -704,6 +790,9 @@ class HashIndex
     static constexpr u32 kBucketStride = 32;
 
   private:
+    /** insert() with the hash already computed. */
+    void insertHashed(u64 key, u64 hash, u64 payload, Addr key_addr);
+
     /** Recompute one bucket's tag byte from its surviving chain
      *  (erase path; writer-side). */
     void refreshTag(u64 bidx);

@@ -340,8 +340,8 @@ IndexService::IndexService(const db::HashIndex &index,
 IndexService::IndexService(const db::Column &buildKeys,
                            const db::IndexSpec &spec,
                            const ServiceConfig &cfg)
-    : index_(buildKeys, spec, cfg.shards, cfg.numa,
-             cfg.pinWalkers, cfg.mutation),
+    : index_(buildKeys, spec, cfg.shards, cfg.pinWalkers,
+             cfg.mutation),
       cfg_(cfg)
 {
     start();

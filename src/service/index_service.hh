@@ -12,8 +12,9 @@
  *
  *  - **Shards.** The service owns a ShardedIndex: the bucket+tag
  *    space hash-range-partitioned into S per-arena shards (shard
- *    selector folded into the bucket indexing, optional FirstTouch
- *    placement), or a single-shard view of an existing HashIndex.
+ *    selector folded into the bucket indexing, built on one thread
+ *    per usable CPU), or a single-shard view of an existing
+ *    HashIndex.
  *
  *  - **Persistent walkers.** K walker threads are spawned once and
  *    park on a condvar between requests — no per-call thread spawn

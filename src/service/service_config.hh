@@ -20,22 +20,6 @@ class TraceRing; // obs/trace.hh; kept opaque so this stays a leaf
 
 namespace widx::sw {
 
-/** Shard arena placement policy. */
-enum class NumaPolicy
-{
-    /** Build every shard on the constructing thread (all arenas
-     *  first-touched on its node). */
-    None,
-    /** Build each shard on its own thread so the OS first-touch
-     *  policy spreads the shard arenas across nodes (and the build
-     *  parallelizes); when walker pinning is on, shard build
-     *  threads are pinned round-robin over the host's *usable* CPUs
-     *  (Topology::host() — the affinity mask is honored). Explicit
-     *  node binding (libnuma) is deliberately not a dependency —
-     *  see src/service/README.md. */
-    FirstTouch,
-};
-
 /**
  * Live-mutation knobs: the writer path that coexists with the
  * always-on walkers (see src/service/README.md and
@@ -82,10 +66,9 @@ struct ServiceConfig
      *  `walkers` here is ignored — the service's own walker count
      *  rules. */
     PipelineConfig pipeline{};
-    /** Pin walker threads round-robin over the usable CPUs. */
+    /** Pin walker threads (and the shard build threads) round-robin
+     *  over the usable CPUs. */
     bool pinWalkers = false;
-    /** Shard arena placement (see NumaPolicy). */
-    NumaPolicy numa = NumaPolicy::None;
     /**
      * Coalesce sub-chunk request tails into shared open dispatch
      * windows (admission batching — the walkers design's central

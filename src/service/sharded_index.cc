@@ -23,8 +23,7 @@ ShardedIndex::ShardedIndex(const db::HashIndex &index)
 
 ShardedIndex::ShardedIndex(const db::Column &keys,
                            const db::IndexSpec &spec, unsigned shards,
-                           NumaPolicy numa, bool pinBuilders,
-                           const MutationConfig &mut)
+                           bool pinBuilders, const MutationConfig &mut)
 {
     const u64 total = nextPowerOfTwo(std::max<u64>(spec.buckets, 1));
     u64 s = nextPowerOfTwo(std::max<u64>(shards, 1));
@@ -48,41 +47,45 @@ ShardedIndex::ShardedIndex(const db::Column &keys,
     owned_.resize(std::size_t(s));
     shards_.resize(std::size_t(s));
 
-    // Shard sh owns the keys whose global bucket index falls in its
-    // hash range; duplicates of a key share a hash, so they share a
-    // shard and keep the flat index's per-key chain order.
-    auto buildShard = [&](unsigned sh) {
-        arenas_[sh] = std::make_unique<Arena>();
-        auto idx =
-            std::make_unique<db::HashIndex>(shard_spec, *arenas_[sh]);
-        for (RowId r = 0; r < keys.size(); ++r) {
-            const u64 key = keys.at(r);
-            if (shardOf(shard_spec.hashFn(key)) == sh)
-                idx->insert(key, r, keys.addrOf(r));
+    // Builder t owns shards t, t + T, ...: it allocates their arenas
+    // (so their pages are first-touched where it runs), scans the
+    // column once, hashes each key once, and feeds the rows of its
+    // shards to one GroupInserter each. Shard sh owns the keys whose
+    // global bucket index falls in its hash range; duplicates of a
+    // key share a hash, so they share a shard, and every shard sees
+    // its rows in row order — the chains, tags and probe results of
+    // a scalar insert() loop, whatever T is.
+    const unsigned T = unsigned(
+        std::min<u64>(s, std::max(1u, Topology::host().cpus())));
+    auto build = [&](unsigned t) {
+        std::vector<db::HashIndex::GroupInserter> ins;
+        for (unsigned sh = t; sh < s; sh += T) {
+            arenas_[sh] = std::make_unique<Arena>();
+            owned_[sh] = std::make_unique<db::HashIndex>(
+                shard_spec, *arenas_[sh]);
+            shards_[sh] = owned_[sh].get();
+            ins.emplace_back(*owned_[sh]);
         }
-        owned_[sh] = std::move(idx);
-        shards_[sh] = owned_[sh].get();
+        db::HashIndex::forEachHashedRow(
+            keys, hashFn_, [&](RowId r, u64 k, u64 h) {
+                const unsigned sh = shardOf(h);
+                if (sh % T == t)
+                    ins[sh / T].add(k, h, r, keys.addrOf(r));
+            });
+        for (auto &i : ins)
+            i.flush();
     };
 
-    if (numa == NumaPolicy::FirstTouch && s > 1) {
-        // One build thread per shard: the arena pages are
-        // first-touched where the builder runs, and the OS spreads
-        // them (optionally pinning builders round-robin over the
-        // usable CPUs).
-        std::vector<std::thread> builders;
-        builders.reserve(std::size_t(s));
-        for (unsigned sh = 0; sh < s; ++sh)
-            builders.emplace_back([&, sh] {
-                if (pinBuilders)
-                    pinCurrentThread(sh);
-                buildShard(sh);
-            });
-        for (auto &t : builders)
-            t.join();
-    } else {
-        for (unsigned sh = 0; sh < s; ++sh)
-            buildShard(sh);
-    }
+    std::vector<std::thread> builders;
+    builders.reserve(T);
+    for (unsigned t = 0; t < T; ++t)
+        builders.emplace_back([&, t] {
+            if (pinBuilders)
+                pinCurrentThread(t);
+            build(t);
+        });
+    for (auto &b : builders)
+        b.join();
 
     // Live instances never take the flat fast path, even with one
     // shard: every probe-surface call must resolve the shard
@@ -189,8 +192,12 @@ ShardedIndex::rebuildShard(unsigned s, db::HashIndex *cur)
     // leave half the new buckets unreachable.
     spec.hashShift = u32(shardShift_ + log2Shards_);
     auto idx = std::make_unique<db::HashIndex>(spec, *arena);
+    // The new index is private until the swap below, so the group
+    // inserter's unsynchronized writes are safe.
+    db::HashIndex::GroupInserter ins(*idx);
     cur->forEachLiveEntry(
-        [&](u64 k, u64 p) { idx->insert(k, p); });
+        [&](u64 k, u64 p) { ins.add(k, hashFn_(k), p); });
+    ins.flush();
 
     // Readers racing this window see the old array until the single
     // release store below, the new one after — never a mix. The

@@ -12,12 +12,16 @@
  *     shard         = global bucket >> log2(B')   (top bits)
  *     local bucket  = hash & (B' - 1)             (low bits)
  *
- * Each shard is an ordinary db::HashIndex over its own Arena, so
- * shard arenas can be placed independently (NumaPolicy::FirstTouch
- * builds each shard on its own thread and lets the OS first-touch
- * policy spread the pages across memory controllers). Every key —
- * and every duplicate of a key — lands in exactly one shard, so
- * per-key match sets and chain order match the flat index.
+ * Each shard is an ordinary db::HashIndex over its own Arena. The
+ * build runs on T = min(shards, usable CPUs) threads: builder t
+ * allocates the arenas of shards t, t + T, ... (so the OS
+ * first-touch policy places their pages where it runs), scans the
+ * key column once, hashes each key once, and group-inserts the rows
+ * of its shards (db::HashIndex::GroupInserter) in row order. Every
+ * key — and every duplicate of a key — lands in exactly one shard,
+ * so per-key match sets and chain order match the flat index, and
+ * each shard is byte-identical to a scalar insert() loop over its
+ * rows.
  *
  * The class exposes the same hash-addressed probe surface the
  * interleaved drains are templated on (tagMayMatchHash /
@@ -46,7 +50,8 @@
 
 namespace widx::sw {
 
-/** Hard cap on shards (thread fan-out at build, sanity). */
+/** Hard cap on shards (sanity; the build fans out to at most one
+ *  thread per usable CPU). */
 inline constexpr unsigned kMaxShards = 64;
 
 /** Writer-path operations (the index-level spelling of the service's
@@ -76,13 +81,11 @@ class ShardedIndex
      *        count across shards (rounded up to a power of two).
      * @param shards shard count; clamped to a power of two in
      *        [1, min(kMaxShards, total buckets)].
-     * @param numa arena placement (see NumaPolicy).
-     * @param pinBuilders with FirstTouch, pin shard build threads
-     *        round-robin over the usable CPUs.
+     * @param pinBuilders pin the build threads round-robin over the
+     *        usable CPUs.
      */
     ShardedIndex(const db::Column &keys, const db::IndexSpec &spec,
-                 unsigned shards, NumaPolicy numa = NumaPolicy::None,
-                 bool pinBuilders = false,
+                 unsigned shards, bool pinBuilders = false,
                  const MutationConfig &mut = {});
 
     ShardedIndex(const ShardedIndex &) = delete;
@@ -291,8 +294,9 @@ class ShardedIndex
             .load(std::memory_order_acquire);
     }
 
-    /** Writer-side (holds writers_[s]->m): grow the shard 2x into a
-     *  fresh arena and publish by pointer swap. */
+    /** Writer-side (holds writers_[s]->m): group-insert the live
+     *  entries into a 2x shard in a fresh arena and publish by
+     *  pointer swap. */
     void rebuildShard(unsigned s, db::HashIndex *cur)
         WIDX_REQUIRES(writers_[s]->m);
 

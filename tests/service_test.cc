@@ -19,7 +19,9 @@
 #include <vector>
 
 #include "common/arena.hh"
+#include "common/bitops.hh"
 #include "common/rng.hh"
+#include "common/topology.hh"
 #include "db/hash_join.hh"
 #include "service/index_service.hh"
 #include "service/open_loop.hh"
@@ -153,19 +155,92 @@ TEST(ShardedIndex, ProbeSurfaceHasNoFalseNegatives)
     }
 }
 
-TEST(ShardedIndex, FirstTouchBuildMatchesSequentialBuild)
+namespace {
+
+/** Every shard of `got` against the scalar reference: a plain
+ *  insert() loop over `col` in row order that keeps the rows whose
+ *  hash selects the shard. Compares entries, overflow nodes, every
+ *  tag byte and every bucket's chain node by node. */
+void
+expectShardsMatchScalarInserts(const ShardedIndex &got,
+                               const db::Column &col,
+                               const db::IndexSpec &spec)
 {
-    Dataset d(4000, 2000, true, 0.0, 6);
-    ShardedIndex seq(*d.build, d.spec, 4, NumaPolicy::None);
-    ShardedIndex par(*d.build, d.spec, 4, NumaPolicy::FirstTouch,
-                     true);
-    EXPECT_EQ(par.entries(), seq.entries());
-    for (unsigned s = 0; s < 4; ++s) {
-        EXPECT_EQ(par.shard(s).entries(), seq.shard(s).entries());
-        for (u64 key : d.keys)
-            EXPECT_EQ(par.shard(s).lookup(key),
-                      seq.shard(s).lookup(key));
+    u64 total = 0;
+    for (unsigned s = 0; s < got.shards(); ++s) {
+        const db::HashIndex &g = got.shard(s);
+        db::IndexSpec ss = spec;
+        ss.buckets = g.numBuckets();
+        ss.live = g.live();
+        Arena arena;
+        db::HashIndex ref(ss, arena);
+        for (RowId r = 0; r < col.size(); ++r) {
+            const u64 key = col.at(r);
+            if (got.shardOf(ref.hashKey(key)) == s)
+                ref.insert(key, r, col.addrOf(r));
+        }
+        total += g.entries();
+        ASSERT_EQ(g.entries(), ref.entries()) << "shard " << s;
+        ASSERT_EQ(g.overflowNodes(), ref.overflowNodes())
+            << "shard " << s;
+        ASSERT_EQ(g.numBuckets(), ref.numBuckets());
+        for (u64 b = 0; b < ref.numBuckets(); ++b) {
+            ASSERT_EQ(g.tagByte(b), ref.tagByte(b))
+                << "shard " << s << " bucket " << b;
+            ASSERT_EQ(g.bucketAt(b).count, ref.bucketAt(b).count);
+            const db::HashIndex::Node *x = &g.bucketAt(b).head;
+            const db::HashIndex::Node *y = &ref.bucketAt(b).head;
+            for (; x && y; x = x->next, y = y->next) {
+                ASSERT_EQ(g.nodeKey(*x), ref.nodeKey(*y))
+                    << "shard " << s << " bucket " << b;
+                ASSERT_EQ(x->payload, y->payload)
+                    << "shard " << s << " bucket " << b;
+            }
+            ASSERT_EQ(x, nullptr) << "shard " << s << " bucket " << b;
+            ASSERT_EQ(y, nullptr) << "shard " << s << " bucket " << b;
+        }
     }
+    EXPECT_EQ(total, col.size());
+}
+
+} // namespace
+
+TEST(ShardedIndex, ParallelGroupBuildMatchesScalarInserts)
+{
+    // One shard count above the usable CPUs, so some builder owns
+    // several shards (T < shards).
+    const unsigned over = unsigned(std::min<u64>(
+        kMaxShards, nextPowerOfTwo(u64(Topology::host().cpus()) * 2)));
+    struct Layout
+    {
+        bool indirect;
+        bool live;
+    };
+    for (Layout l : {Layout{false, false}, Layout{true, false},
+                     Layout{false, true}}) {
+        // 5000 rows over ~2500 distinct keys: duplicates on purpose,
+        // and more than one insert group per shard at every count.
+        Dataset d(5000, 0, l.indirect, 0.0, 6);
+        d.spec.live = l.live;
+        for (unsigned shards : {1u, 2u, 4u, 8u, over}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "shards " << shards << " indirect "
+                         << l.indirect << " live " << l.live);
+            ShardedIndex par(*d.build, d.spec, shards,
+                             /*pinBuilders=*/shards == over);
+            ASSERT_EQ(par.shards(), shards);
+            expectShardsMatchScalarInserts(par, *d.build, d.spec);
+        }
+    }
+}
+
+TEST(HashIndex, GroupBuildMatchesScalarInserts)
+{
+    // The flat build (buildFromColumn) is what ServiceEquivalence
+    // compares against, so pin it to the scalar loop too.
+    Dataset d(5000, 0, true, 0.0, 7);
+    ShardedIndex flat(*d.flat);
+    expectShardsMatchScalarInserts(flat, *d.build, d.spec);
 }
 
 // ---------------------------------------------------------------------------
