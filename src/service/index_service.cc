@@ -180,7 +180,7 @@ struct ServiceRequest
             for (const auto &c : perSlot)
                 total += c.size();
             r.recs.reserve(total);
-            // Slots are position-contiguous chunks, so concatenation
+            // Slots are position-contiguous segments, so concatenation
             // is already probeBatch order.
             for (auto &c : perSlot)
                 r.recs.insert(r.recs.end(), c.begin(), c.end());
@@ -355,24 +355,23 @@ IndexService::start()
                             : db::HashIndex::kProbeBatch,
         1, db::HashIndex::kMaxProbeBatch);
     width_ = std::clamp(cfg_.width, 1u, kMaxWidth);
-    const unsigned walkers =
-        std::clamp(cfg_.walkers, 1u, kMaxWalkers);
+    walkers_ = std::clamp(cfg_.walkers, 1u, kMaxWalkers);
     // The admission controller steers on measured queue-wait, so
     // adaptive mode forces the timestamps on even when the caller
     // turned latency recording off.
     if (cfg_.admission.adaptive)
         adm_ = std::make_unique<AdmissionController>(
-            cfg_.admission, u32(chunk_), walkers + 1);
+            cfg_.admission, u32(chunk_), walkers_ + 1);
     if (cfg_.recordLatency || adm_)
         board_ = std::make_unique<detail::LatencyBoard>(
-            walkers + 1); // walkers finalize; submitters do empties
+            walkers_ + 1); // walkers finalize; submitters do empties
     if (cfg_.watchdogPeriodNs > 0)
-        beats_.reset(new WalkerBeat[walkers]);
-    wobs_.reset(new WalkerObs[walkers]);
+        beats_.reset(new WalkerBeat[walkers_]);
+    wobs_.reset(new WalkerObs[walkers_]);
     trace_ = cfg_.trace.get();
 
-    threads_.reserve(walkers);
-    for (unsigned w = 0; w < walkers; ++w)
+    threads_.reserve(walkers_);
+    for (unsigned w = 0; w < walkers_; ++w)
         threads_.emplace_back([this, w] { walkerMain(w); });
     if (beats_)
         watchdog_ = std::thread([this] { watchdogMain(); });
@@ -640,10 +639,25 @@ IndexService::submitShared(
     std::shared_ptr<detail::ServiceRequest> req, RequestKind kind,
     std::span<const u64> keys)
 {
-    const u64 num_chunks = (keys.size() + chunk_ - 1) / chunk_;
-    req->remaining.store(num_chunks, std::memory_order_relaxed);
+    // Full chunks are dealt in order into `runs` sealed windows of
+    // whole chunks, each at most kMaxProbeBatch keys: one long drain
+    // per run keeps the tag sweep and the AMAC ring full instead of
+    // ramping down every chunk. At least min(full, walkers) runs, so
+    // a mid-size request still spreads over every walker. A request
+    // of at most one full chunk seals exactly as one chunk, without
+    // the run arithmetic (small requests are the common case).
+    const std::size_t full = keys.size() / chunk_;
+    const std::size_t perRunMax =
+        db::HashIndex::kMaxProbeBatch / chunk_;
+    const std::size_t runs =
+        full <= 1 ? full
+                  : std::max((full + perRunMax - 1) / perRunMax,
+                             std::min<std::size_t>(full, walkers_));
+    const bool hasTail = full * chunk_ < keys.size();
+    const u64 num_slots = runs + (hasTail ? 1 : 0);
+    req->remaining.store(num_slots, std::memory_order_relaxed);
     if (kind != RequestKind::Count)
-        req->perSlot.resize(num_chunks);
+        req->perSlot.resize(num_slots);
 
     // The seal threshold: how full the open window may get before
     // it seals. chunk = full coalescing, 1 = every tail seals its
@@ -667,16 +681,18 @@ IndexService::submitShared(
             req->trySetStatus(Status::Rejected);
             return false;
         }
-        // Full chunks seal immediately as single-segment windows.
-        std::size_t c = 0;
+        // Runs seal immediately as single-segment windows; the
+        // first full % runs of them take one chunk more.
         std::size_t base = 0;
-        for (; base + chunk_ <= keys.size();
-             base += chunk_, ++c) {
+        for (std::size_t r = 0; r < runs; ++r) {
+            const std::size_t len =
+                (full / runs + (r < full % runs ? 1 : 0)) * chunk_;
             Window w;
-            w.segs.push_back(Segment{req, c, base, u32(chunk_)});
-            w.keys = u32(chunk_);
-            noteSeal(w); // full chunks seal at admission
+            w.segs.push_back(Segment{req, r, base, u32(len)});
+            w.keys = u32(len);
+            noteSeal(w); // runs seal at admission
             sealed_.push_back(std::move(w));
+            base += len;
             ++added;
         }
         // The sub-chunk tail coalesces into the shared open window
@@ -684,7 +700,7 @@ IndexService::submitShared(
         // are never split: seal the open window first if this one
         // would overflow its capacity; seal behind it once it
         // reaches the hold threshold.
-        if (base < keys.size()) {
+        if (hasTail) {
             const u32 len = u32(keys.size() - base);
             if (open_.keys + len > chunk_) {
                 noteSeal(open_);
@@ -692,7 +708,7 @@ IndexService::submitShared(
                 open_ = Window{};
                 ++added;
             }
-            open_.segs.push_back(Segment{req, c, base, len});
+            open_.segs.push_back(Segment{req, runs, base, len});
             open_.keys += len;
             if (open_.keys >= hold) {
                 noteSeal(open_);
@@ -817,7 +833,7 @@ IndexService::walkerMain(unsigned w)
 void
 IndexService::watchdogMain()
 {
-    const unsigned n = unsigned(threads_.size());
+    const unsigned n = walkers_;
     // One *count* per stuck window (epoch dedup), but warnings are
     // rate-limited rather than one-shot: a persistent stall re-warns
     // once per additional threshold window, so a wedged walker stays
@@ -1215,7 +1231,7 @@ IndexService::collectMetrics(obs::Snapshot &out) const
     // the hardware-counter accumulation (zeros when perf is denied
     // or sampling is off).
     {
-        const unsigned n = unsigned(threads_.size());
+        const unsigned n = walkers_;
         const u64 now = monotonicNowNs();
         Family windows, stalls, busy;
         windows.name = "widx_walker_windows_total";

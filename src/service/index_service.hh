@@ -25,7 +25,7 @@
  *    clients submitAsync(kind, keys, opts, sink) from any thread
  *    (the submission queue is a mutex-guarded MPSC structure —
  *    contended per request, never per key) and the request's result
- *    is *delivered* when its last chunk completes — to a callback,
+ *    is *delivered* when its last segment completes — to a callback,
  *    or onto a CompletionQueue the client reaps in batches. Nothing
  *    blocks between submissions, so a single client thread keeps
  *    thousands of probes in flight. The blocking ResultTicket
@@ -34,9 +34,13 @@
  *    handling, and latency stamping are identical on every route.
  *
  *  - **Admission batching.** Each request is sliced into chunks of
- *    `pipeline.batch` keys. Full chunks become sealed dispatch
- *    windows immediately; sub-chunk tails land in one shared *open*
- *    window where concurrent small requests coalesce. A walker with
+ *    `pipeline.batch` keys. Full chunks are dealt in order into
+ *    sealed *runs* immediately: max(ceil(F / (kMaxProbeBatch /
+ *    batch)), min(F, walkers)) windows of whole chunks for F full
+ *    chunks, so a bulk request drains in runs of up to 1024 keys
+ *    while a mid-size one still spreads over every walker.
+ *    Sub-chunk tails land in one shared *open* window where
+ *    concurrent small requests coalesce. A walker with
  *    nothing sealed grabs the open window as-is, so a lone small
  *    request is served immediately — but when walkers are busy the
  *    open window keeps filling, and the AMAC/coroutine drains see
@@ -64,8 +68,8 @@
  *  - **Determinism.** A window is drained by exactly one walker;
  *    its per-segment records are stable-sorted by key position
  *    (preserving per-key chain order) and merged by (request,
- *    chunk) id — a request's chunks are position-contiguous, so
- *    concatenating them in chunk order yields a result sequence
+ *    slot) id — a request's runs and tail are position-contiguous,
+ *    so concatenating them in slot order yields a result sequence
  *    byte-identical to a single-threaded HashIndex::probeBatch over
  *    its keys, independent of walker count, shard count,
  *    coalescing, and thread timing.
@@ -336,7 +340,7 @@ class ResultTicket
  *  to the end-to-end sum to the nanosecond. For sub-chunk requests
  *  — the single-segment shape that populates the coalescing window
  *  — the whole coalescing hold is therefore in the queue-wait
- *  column; a multi-chunk request's first sealed chunk ends its
+ *  column; a multi-chunk request's first sealed run ends its
  *  queue-wait, so a hold on its *tail* lands in drain-time
  *  (completion still waits for the last segment). */
 struct KindLatency
@@ -495,7 +499,7 @@ class IndexService
         return submit(RequestKind::Join, keys).get();
     }
 
-    unsigned walkers() const { return unsigned(threads_.size()); }
+    unsigned walkers() const { return walkers_; }
     unsigned shards() const { return index_.shards(); }
     const ShardedIndex &index() const { return index_; }
 
@@ -520,16 +524,16 @@ class IndexService
     void resetLatencyStats();
 
   private:
-    /** One contiguous run of keys inside a window, owned by one
-     *  request: a whole admission chunk. `base` offsets into
-     *  req->keys; `slot` is the request's merge slot (chunk
-     *  index). */
+    /** One contiguous range of keys inside a window, owned by one
+     *  request: a run of whole admission chunks or a sub-chunk
+     *  tail. `base` offsets into req->keys; `slot` is the request's
+     *  merge slot (run index; the tail takes the last slot). */
     struct Segment
     {
         std::shared_ptr<detail::ServiceRequest> req;
         std::size_t slot;
         std::size_t base;
-        u32 len; ///< <= pipeline.batch
+        u32 len; ///< <= HashIndex::kMaxProbeBatch
     };
 
     /** A dispatch window: what one walker drains in one pass. */
@@ -601,6 +605,7 @@ class IndexService
     ServiceConfig cfg_;
     std::size_t chunk_; ///< resolved pipeline.batch
     unsigned width_;    ///< resolved drain width
+    unsigned walkers_;  ///< resolved walker count (set before spawn)
 
     Mutex m_;
     CondVar cv_;

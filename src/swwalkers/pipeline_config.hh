@@ -33,8 +33,10 @@ struct PipelineConfig
      *  hash each key right before its walk — the Listing 1
      *  schedule). Clamped to HashIndex::kMaxProbeBatch. For the
      *  WalkerPool this is also the chunk granularity walker threads
-     *  claim from the shared window ring, and for the IndexService
-     *  the dispatch-window size small requests coalesce into. */
+     *  claim from the shared window ring. For the IndexService it
+     *  is the chunk that sealed runs are built from (whole chunks,
+     *  up to kMaxProbeBatch keys a run) and the size of the open
+     *  window that sub-chunk tails coalesce into. */
     unsigned batch = unsigned(db::HashIndex::kProbeBatch);
     /** Reject non-matching buckets on the one-byte tag filter. */
     bool tagged = true;

@@ -282,8 +282,10 @@ TEST(Fuzz, ServiceSurvivesRandomFailpointSchedules)
             std::span<const u64> keys;
         };
         std::vector<Shot> shots;
+        // Up to 3000 keys: past one 1024-key run, so requests also
+        // seal as several runs spread over the walkers.
         for (int r = 0; r < 40; ++r) {
-            const std::size_t len = 1 + rng.below(200);
+            const std::size_t len = 1 + rng.below(3000);
             const std::size_t base =
                 rng.below(pool.size() - len);
             std::span<const u64> keys{pool.data() + base, len};

@@ -484,6 +484,93 @@ TEST(IndexService, CoalescingOffNeverSharesWindows)
     EXPECT_EQ(service.stats().coalescedWindows, 0u);
 }
 
+TEST(IndexService, FullChunksSealAsPerWalkerRuns)
+{
+    // A request's full chunks seal as max(ceil(F / (1024 / batch)),
+    // min(F, walkers)) runs of whole chunks, plus one window for a
+    // sub-chunk tail. On a quiet service each window a request seals
+    // is drained exactly once, so the windows delta pins the shape.
+    Dataset d(4000, 5000, false, 0.0, 17);
+    struct Row
+    {
+        u32 batch;
+        unsigned walkers;
+        std::size_t keys;
+        u64 windows;
+    };
+    const Row rows[] = {
+        {64, 3, 4096, 4},  // 64 chunks, capped at 16 per run
+        {64, 3, 1024, 3},  // 16 chunks spread over 3 walkers
+        {64, 1, 5000, 6},  // 78 chunks in 5 runs, plus the tail
+        {64, 4, 100, 2},   // one chunk as today, plus the tail
+        {16, 2, 5000, 6},  // 312 chunks in 5 runs, plus the tail
+    };
+    for (const Row &row : rows) {
+        ServiceConfig cfg;
+        cfg.walkers = row.walkers;
+        cfg.pipeline.batch = row.batch;
+        IndexService service(*d.build, d.spec, cfg);
+        const std::span<const u64> keys{d.keys.data(), row.keys};
+        const auto want = refSequence(*d.flat, keys);
+        const std::string what = "batch " + std::to_string(row.batch) +
+                                 " walkers " +
+                                 std::to_string(row.walkers) +
+                                 " keys " + std::to_string(row.keys);
+        for (RequestKind kind :
+             {RequestKind::Probe, RequestKind::Join,
+              RequestKind::Count}) {
+            const u64 before = service.stats().windows;
+            const ServiceResult r = service.submit(kind, keys).get();
+            EXPECT_EQ(service.stats().windows - before, row.windows)
+                << what;
+            EXPECT_EQ(r.status, Status::Ok) << what;
+            EXPECT_EQ(r.matches, want.size()) << what;
+            if (kind != RequestKind::Count)
+                expectSameSequence(r.recs, want, what.c_str());
+        }
+        EXPECT_EQ(service.stats().coalescedWindows, 0u) << what;
+    }
+
+    // A multi-run request completes once, whether its deadline has
+    // passed at submit or passes while its runs wait behind a
+    // backlog (then every run retires undrained or drains, and only
+    // the first expiry counts).
+    ServiceConfig cfg;
+    cfg.walkers = 3;
+    cfg.pipeline.batch = 64;
+    IndexService service(*d.build, d.spec, cfg);
+    const std::span<const u64> keys{d.keys.data(), 4096};
+    auto cq = std::make_shared<CompletionQueue>();
+    SubmitOptions past;
+    past.deadlineNs = 1;
+    const u64 windowsBefore = service.stats().windows;
+    service.submitAsync(RequestKind::Probe, keys, past, cq, 1);
+    std::vector<Completion> done;
+    reapUntil(*cq, done, 1);
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].result.status, Status::DeadlineExceeded);
+    EXPECT_TRUE(done[0].result.recs.empty());
+    EXPECT_EQ(service.stats().expired, 1u);
+    EXPECT_EQ(service.stats().windows, windowsBefore);
+
+    std::vector<ResultTicket> backlog;
+    for (int b = 0; b < 8; ++b)
+        backlog.push_back(service.submit(
+            RequestKind::Count, std::span<const u64>(d.keys)));
+    SubmitOptions soon;
+    soon.deadlineNs = monotonicNowNs() + 1000;
+    service.submitAsync(RequestKind::Probe, keys, soon, cq, 2);
+    done.clear();
+    reapUntil(*cq, done, 1);
+    for (ResultTicket &t : backlog)
+        EXPECT_EQ(t.get().status, Status::Ok);
+    cq->reap(done, 8, std::chrono::milliseconds(50));
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].tag, 2u);
+    EXPECT_EQ(done[0].result.status, Status::DeadlineExceeded);
+    EXPECT_EQ(service.stats().expired, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Bounded waits
 // ---------------------------------------------------------------------------
@@ -1241,15 +1328,18 @@ TEST(IndexService, CallbackSinkDeliversAndSurvivesThrow)
     Dataset d(2000, 2048, false, 0.0, 109);
     ServiceConfig cfg;
     cfg.walkers = 2;
+    // Declared before the service, so they outlive its walkers: the
+    // callback's notify_all can still be running on a walker when
+    // this thread wakes and returns.
+    std::mutex m;
+    std::condition_variable cv;
+    u64 got = 0;
+    bool ready = false;
     IndexService service(*d.flat, cfg);
 
     // A callback that records its result and then throws: the
     // throw must be swallowed (a walker that unwinds strands every
     // queued request), and the service must keep serving.
-    std::mutex m;
-    std::condition_variable cv;
-    u64 got = 0;
-    bool ready = false;
     service.submitAsync(
         RequestKind::Count, {d.keys.data(), 256}, {},
         [&](ServiceResult &&r) {
